@@ -15,7 +15,6 @@ both their historical form and the reproductive variant.
 from __future__ import annotations
 
 from .errors import ContractError, InconsistentEquationError, ShapeError
-from .kron import kronecker
 from .matrix import ExactMatrix, rank
 from .oneinv import family_from, is_one_inverse
 
@@ -203,8 +202,8 @@ def solution_dimension(gs: GeneralSolutionMap) -> int:
     """Dimension of the affine solution set swept by the map.
 
     The homogeneous part is the image of Y -> Y - L*Y*R, whose kernel
-    corresponds to the Kronecker projector L (x) R^T; hence the count
-    n*p - rank(L)*rank(R), computed here from the materialized product.
+    corresponds to the Kronecker projector L (x) R^T of rank
+    rank(L)*rank(R); hence the count n*p - rank(L)*rank(R).
     """
     n, p = gs.shape
-    return n * p - rank(kronecker(gs.L, gs.R.T))
+    return n * p - rank(gs.L) * rank(gs.R)

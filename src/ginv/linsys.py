@@ -103,10 +103,23 @@ class AffineSolution:
         return True
 
 
-def _split_c_prime(c_prime: ExactMatrix, a: int):
-    head = c_prime.take_rows(1, a)
-    tail = c_prime.take_rows(a + 1, c_prime.rows)
-    return head, tail
+def _reduced_rhs(rnf: RankNormalForm, c: ExactMatrix):
+    """c' = Q*c split at the rank into (c', head, tail).
+
+    Raises InconsistentSystemError when the tail is nonzero.
+    """
+    c_prime = rnf.q @ c
+    head = c_prime.take_rows(1, rnf.rank)
+    tail = c_prime.take_rows(rnf.rank + 1, c_prime.rows)
+    if not tail.is_zero():
+        raise InconsistentSystemError(
+            "system A*x = c is inconsistent: Q*c has a nonzero tail", tail=tail)
+    return c_prime, head, tail
+
+
+def _check_rhs(A: ExactMatrix, c: ExactMatrix):
+    if c.shape != (A.rows, 1):
+        raise ShapeError("solve_right right-hand side", c.shape, (A.rows, 1))
 
 
 def _sweep_form(c_prime_head: ExactMatrix, pivot: int, n_free: int) -> SymMatrix:
@@ -151,16 +164,11 @@ def solve_right(A: ExactMatrix, c: ExactMatrix) -> AffineSolution:
     The particular solution is P*[c'_head; 0]; the directrix is the last
     n - a columns of P, which A annihilates since Q*A*P = E_a.
     """
-    if c.shape != (A.rows, 1):
-        raise ShapeError("solve_right right-hand side", c.shape, (A.rows, 1))
+    _check_rhs(A, c)
     rnf = rank_normal_form(A)
     a = rnf.rank
     n = A.cols
-    c_prime = rnf.q @ c
-    head, tail = _split_c_prime(c_prime, a)
-    if not tail.is_zero():
-        raise InconsistentSystemError(
-            "system A*x = c is inconsistent: Q*c has a nonzero tail", tail=tail)
+    c_prime, head, tail = _reduced_rhs(rnf, c)
     pivot = next((j for j in range(1, a + 1) if head.entry(j, 1)), None)
     padded = ExactMatrix.block([[head], [ExactMatrix.zeros(n - a, 1)]]) \
         if n - a else head
@@ -188,10 +196,11 @@ def general_inverse_solution(A: ExactMatrix, c: ExactMatrix,
     """x = G*c for the {1}-inverse G with the given V block (U = W = 0).
 
     Only V matters: U and W multiply the zero tail of c' = Q*c.  Requires
-    a consistent system.
+    a consistent system, decided from that tail as in solve_right.
     """
-    sol = solve_right(A, c)
+    _check_rhs(A, c)
     fam = family_from(A)
+    _reduced_rhs(fam.rnf, c)
     if V.shape != fam.v_shape:
         raise ShapeError("V block", V.shape, fam.v_shape)
     return fam.instantiate(V=V) @ c

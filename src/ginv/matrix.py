@@ -4,9 +4,23 @@ Public indices are 1-based (``entry(i, j)``).  All values are immutable and
 all operations are pure, so matrices are safe to share between threads.
 Zero-row / zero-column matrices are permitted so that the degenerate block
 shapes arising from rank-0 and full-rank inputs work uniformly.
+
+Storage is a tuple of rows of :class:`GaussianRational` entries, the boxed
+public scalar that ``entry()`` returns.  The two hot loops do not compute
+on boxed scalars.  ``@`` and ``rank_normal_form`` convert each row (or
+column) once into Gaussian-integer numerators (separate real and imaginary
+int lists) over one positive denominator, work on Python ints, and box
+each result entry once at the end.  Elimination reduces each updated row
+by a single gcd over its content, so every row keeps the least common
+denominator of its entries.  The arithmetic is exact, so the factors are
+the ones the same elementary operations give over Q(i).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
 from .scalar import ZERO, ONE, GaussianRational, as_scalar, render_scalar
@@ -135,13 +149,19 @@ class ExactMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError("multiply", self.shape, other.shape)
-        if self.cols == 0:
-            return ExactMatrix.zeros(self.rows, other.cols) \
-                if self.rows and other.cols else ExactMatrix.empty(self.rows, other.cols)
-        bt = list(zip(*other._rows))
-        out = [[_dot(row, col) for col in bt] for row in self._rows]
         if not self.rows or not other.cols:
             return ExactMatrix.empty(self.rows, other.cols)
+        if self.cols == 0:
+            return ExactMatrix.zeros(self.rows, other.cols)
+        cols = [_numerators(col) for col in zip(*other._rows)]
+        out = []
+        for ar, ai, d in map(_numerators, self._rows):
+            row = []
+            for br, bi, e in cols:
+                re = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
+                im = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
+                row.append(_box(re, im, d * e))
+            out.append(row)
         return _raw(self.rows, other.cols, out)
 
     @property
@@ -233,12 +253,27 @@ def _raw(m, n, rows):
     return mat
 
 
-def _dot(row, col):
-    acc = ZERO
-    for a, b in zip(row, col):
-        if a and b:
-            acc = acc + a * b
-    return acc
+def _numerators(values):
+    """Scalars as (re, im, d): Gaussian-integer numerators over one positive
+    denominator, value k = (re[k] + im[k]*i) / d, with d least."""
+    d = lcm(*[x.re.denominator for x in values],
+            *[x.im.denominator for x in values])
+    return ([x.re.numerator * (d // x.re.denominator) for x in values],
+            [x.im.numerator * (d // x.im.denominator) for x in values], d)
+
+
+def _reduced(re, im, d):
+    """Divide numerators and denominator by their common content."""
+    g = gcd(d, *re, *im)
+    if g == 1:
+        return re, im, d
+    return [x // g for x in re], [y // g for y in im], d // g
+
+
+def _box(re: int, im: int, d: int) -> GaussianRational:
+    if not (re or im):
+        return ZERO
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
 class RankNormalForm:
@@ -273,52 +308,71 @@ def rank_normal_form(A: ExactMatrix) -> RankNormalForm:
     take the topmost nonzero entry of the first nonzero column.  Arithmetic
     is exact, so no magnitude pivoting is needed; two calls on equal inputs
     return identical factorizations.
+
+    Gauss-Jordan elimination on the rows of [A | I_m] and of P = I_n, each
+    held as Gaussian-integer numerators over one denominator.  Step r
+    swaps the pivot row up to row r, scales it to a pivot of 1, clears the
+    pivot column in the rows below (rows above are finished and stay
+    fixed), swaps the pivot column into column r, and clears the rest of
+    row r by column operations.  Every other row of A is zero in column r
+    by then, so those column operations change only P and row r.
     """
     m, n = A.rows, A.cols
-    M = A.to_rows()
-    Q = ExactMatrix.identity(m).to_rows()
-    P = ExactMatrix.identity(n).to_rows()
+    rows = []
+    for i, row in enumerate(A._rows):
+        re, im, d = _numerators(row)
+        re += [0] * m
+        im += [0] * m
+        re[n + i] = d
+        rows.append((re, im, d))
+    prows = [([int(i == j) for j in range(n)], [0] * n, 1) for i in range(n)]
     r = 0
     while r < min(m, n):
-        # Find the leftmost unfinished column holding a nonzero entry.
-        pivot = None
-        for c in range(r, n):
-            for t in range(r, m):
-                if M[t][c]:
-                    pivot = (t, c)
-                    break
-            if pivot:
-                break
+        pivot = next(((t, c) for c in range(r, n) for t in range(r, m)
+                      if rows[t][0][c] or rows[t][1][c]), None)
         if pivot is None:
             break
         t, c = pivot
-        if t != r:
-            M[r], M[t] = M[t], M[r]
-            Q[r], Q[t] = Q[t], Q[r]
-        pv = M[r][c]
-        if pv != ONE:
-            inv = pv.inverse()
-            M[r] = [inv * x for x in M[r]]
-            Q[r] = [inv * x for x in Q[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-                Q[i] = [x - f * y for x, y in zip(Q[i], Q[r])]
+        rows[r], rows[t] = rows[t], rows[r]
+        re, im, d = rows[r]
+        a, b = re[c], im[c]
+        if b:
+            # (x + yi)/d * d/(a + bi) = (x + yi)*(a - bi) / (a^2 + b^2)
+            re, im, d = _reduced([x * a + y * b for x, y in zip(re, im)],
+                                 [y * a - x * b for x, y in zip(re, im)],
+                                 a * a + b * b)
+        elif a != d:
+            if a < 0:
+                re, im, a = [-x for x in re], [-y for y in im], -a
+            re, im, d = _reduced(re, im, a)
+        rows[r] = (re, im, d)
+        for i in range(r + 1, m):
+            xr, xi, e = rows[i]
+            fr, fi = xr[c], xi[c]
+            if fr or fi:
+                rows[i] = _reduced(
+                    [d * x - fr * u + fi * v for x, u, v in zip(xr, re, im)],
+                    [d * y - fr * v - fi * u for y, u, v in zip(xi, re, im)],
+                    d * e)
         if c != r:
-            for row in M:
-                row[r], row[c] = row[c], row[r]
-            for row in P:
-                row[r], row[c] = row[c], row[r]
-        for j in range(n):
-            if j != r and M[r][j]:
-                f = M[r][j]
-                for row in M:
-                    row[j] = row[j] - f * row[r]
-                for row in P:
-                    row[j] = row[j] - f * row[r]
+            for xr, xi, _ in rows[r:] + prows:
+                xr[r], xr[c] = xr[c], xr[r]
+                xi[r], xi[c] = xi[c], xi[r]
+        # Column j of P loses f_j times column r, f_j = (gr[j] + gi[j]*i)/d.
+        gr = [0] * (r + 1) + re[r + 1:n]
+        gi = [0] * (r + 1) + im[r + 1:n]
+        if any(gr) or any(gi):
+            for k, (xr, xi, e) in enumerate(prows):
+                pr, pi = xr[r], xi[r]
+                if pr or pi:
+                    prows[k] = _reduced(
+                        [d * x - pr * u + pi * v for x, u, v in zip(xr, gr, gi)],
+                        [d * y - pr * v - pi * u for y, u, v in zip(xi, gr, gi)],
+                        d * e)
         r += 1
-    return RankNormalForm(ExactMatrix(Q), ExactMatrix(P), r)
+    q = [[_box(x, y, d) for x, y in zip(re[n:], im[n:])] for re, im, d in rows]
+    p = [[_box(x, y, d) for x, y in zip(re, im)] for re, im, d in prows]
+    return RankNormalForm(_raw(m, m, q), _raw(n, n, p), r)
 
 
 def rank(A: ExactMatrix) -> int:

@@ -9,6 +9,7 @@ positive denominator).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ScalarParseError
@@ -209,7 +210,14 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a digit")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            # CPython caps str -> int conversion (sys.get_int_max_str_digits).
+            raise ScalarParseError(
+                f"integer literal of {self.pos - start} digits exceeds the "
+                f"limit of {sys.get_int_max_str_digits()}",
+                self.text, start) from None
 
     def read_rational(self) -> Fraction:
         num = self.read_int()

@@ -1,15 +1,22 @@
 """Independent oracles the test suite checks the library against.
 
-Nothing here reuses the library's elimination code: rank comes from
-permutation-expansion determinants of square submatrices, and linear
+Apart from the two helpers named at the end, nothing here reuses the
+library's elimination or product kernels: rank comes from
+permutation-expansion determinants of square submatrices, linear
 systems are solved by a plain row-echelon reduction with
-back-substitution over the augmented matrix.  Matrix multiplication and
-entry access are taken from the library since they are definitional.
+back-substitution over the augmented matrix, and the rank normal form
+and the matrix product are recomputed one boxed GaussianRational at a
+time.  Scalar arithmetic, construction and entry access are taken from
+the library since they are definitional.  ``grid_solutions`` filters
+candidates with ``@``, and ``solution_dimension_by_kron`` materializes
+the Kronecker projector to check the closed-form dimension count, not
+``rank`` itself.
 """
 
 from itertools import combinations, permutations, product
 
-from ginv.matrix import ExactMatrix
+from ginv.kron import kronecker
+from ginv.matrix import ExactMatrix, RankNormalForm, rank
 from ginv.scalar import GaussianRational, ONE, ZERO, as_scalar
 
 
@@ -29,6 +36,84 @@ def det_by_permutations(rows) -> GaussianRational:
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def matmul_by_scalars(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A*B summed one GaussianRational product at a time."""
+    assert A.cols == B.rows
+    if not (A.rows and B.cols):
+        return ExactMatrix.empty(A.rows, B.cols)
+    rows = []
+    for i in range(1, A.rows + 1):
+        row = []
+        for j in range(1, B.cols + 1):
+            acc = ZERO
+            for k in range(1, A.cols + 1):
+                acc = acc + A.entry(i, k) * B.entry(k, j)
+            row.append(acc)
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+def rnf_by_scalars(A: ExactMatrix) -> RankNormalForm:
+    """Q*A*P = E_a by Gauss-Jordan elimination on boxed scalars.
+
+    The same pivot rule and elementary operations as
+    ``ginv.matrix.rank_normal_form``, so the factors must be equal, not
+    merely valid: walk the unfinished columns left to right and take the
+    topmost nonzero entry of the first nonzero column.
+    """
+    m, n = A.rows, A.cols
+    M = A.to_rows()
+    Q = ExactMatrix.identity(m).to_rows()
+    P = ExactMatrix.identity(n).to_rows()
+    r = 0
+    while r < min(m, n):
+        # Find the leftmost unfinished column holding a nonzero entry.
+        pivot = None
+        for c in range(r, n):
+            for t in range(r, m):
+                if M[t][c]:
+                    pivot = (t, c)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        t, c = pivot
+        if t != r:
+            M[r], M[t] = M[t], M[r]
+            Q[r], Q[t] = Q[t], Q[r]
+        pv = M[r][c]
+        if pv != ONE:
+            inv = pv.inverse()
+            M[r] = [inv * x for x in M[r]]
+            Q[r] = [inv * x for x in Q[r]]
+        for i in range(m):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                Q[i] = [x - f * y for x, y in zip(Q[i], Q[r])]
+        if c != r:
+            for row in M:
+                row[r], row[c] = row[c], row[r]
+            for row in P:
+                row[r], row[c] = row[c], row[r]
+        for j in range(n):
+            if j != r and M[r][j]:
+                f = M[r][j]
+                for row in M:
+                    row[j] = row[j] - f * row[r]
+                for row in P:
+                    row[j] = row[j] - f * row[r]
+        r += 1
+    return RankNormalForm(ExactMatrix(Q), ExactMatrix(P), r)
+
+
+def solution_dimension_by_kron(gs) -> int:
+    """n*p minus the rank of the materialized projector L (x) R^T."""
+    n, p = gs.shape
+    return n * p - rank(kronecker(gs.L, gs.R.T))
 
 
 def brute_rank(M: ExactMatrix) -> int:

@@ -14,7 +14,7 @@ from ginv.oneinv import family_from, is_one_inverse
 
 from conftest import (DEMO_A, DEMO_B, DEMO_C, DEMO_X1, random_matrix,
                       random_matrix_with_rank)
-from oracles import grid_solutions
+from oracles import grid_solutions, solution_dimension_by_kron
 
 
 def random_one_inverse(rng, A):
@@ -301,3 +301,18 @@ def test_solution_dimension_random_agreement(rng):
         C = A @ random_matrix(rng, n, p) @ B
         gs = penrose_general_solution(A, B, C)
         assert solution_dimension(gs) == solve_axb_via_kron(A, B, C).dimension
+
+
+def test_solution_dimension_matches_materialized_kronecker(rng):
+    maps = [penrose_general_solution(DEMO_A, DEMO_B, DEMO_C)]
+    for _ in range(8):
+        n, p = rng.randrange(1, 4), rng.randrange(1, 4)
+        A = random_matrix_with_rank(rng, n, n, rng.randrange(0, n + 1))
+        B = random_matrix_with_rank(rng, p, p, rng.randrange(0, p + 1))
+        C = A @ random_matrix(rng, n, p) @ B
+        maps.append(penrose_general_solution(A, B, C))
+        B1 = random_one_inverse(rng, A)
+        maps += [make(A, B1, case) for case in CASES
+                 for make in (presic_solution, haveric_solution)]
+    for gs in maps:
+        assert solution_dimension(gs) == solution_dimension_by_kron(gs)

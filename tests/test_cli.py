@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, text reports, JSON reports."""
 
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,20 @@ def test_malformed_document_exit_two(capsys, tmp_path):
     code, _, err = invoke(capsys, "rnf", "--file", str(doc))
     assert code == 2
     assert "unequal" in err
+
+
+def test_oversized_integer_literal_exit_two(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter's int/str digit limit is disabled")
+    doc = tmp_path / "big.mx"
+    doc.write_text("A = [ 1 2 ; 3 " + "7" * (limit + 1) + " ]\n")
+    code, out, err = invoke(capsys, "rnf", "--file", str(doc))
+    assert code == 2
+    assert not out
+    assert f"{doc}:1:15: bad matrix entry: integer literal of {limit + 1} " \
+           f"digits exceeds the limit of {limit}" in err
+    assert "Traceback" not in err
 
 
 def test_represent_demo_solution_via_x_name(capsys, tmp_path):

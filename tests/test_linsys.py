@@ -193,6 +193,32 @@ def test_general_inverse_solution_demo():
                                  ExactMatrix([[1], [1]]), ExactMatrix.zeros(1, 1))
 
 
+def test_general_inverse_solution_factors_once(monkeypatch):
+    import ginv.linsys
+    import ginv.matrix
+    import ginv.oneinv
+    fam = family_from(DEMO_A)
+    factor = ginv.matrix.rank_normal_form
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return factor(A)
+
+    for module in (ginv.matrix, ginv.oneinv, ginv.linsys):
+        monkeypatch.setattr(module, "rank_normal_form", counting)
+    V = ExactMatrix([[5, -1]])
+    assert general_inverse_solution(DEMO_A, DEMO_c, V) \
+        == fam.instantiate(V=V) @ DEMO_c
+    assert calls == [DEMO_A]
+    calls.clear()
+    with pytest.raises(InconsistentSystemError) as err:
+        general_inverse_solution(DEMO_A, ExactMatrix([[1], [0], [0]]),
+                                 ExactMatrix.zeros(*fam.v_shape))
+    assert not err.value.tail.is_zero()
+    assert calls == [DEMO_A]
+
+
 def test_general_inverse_solutions_sweep_everything(rng):
     # Every member of the affine solution set is some G*c with G in the
     # family; conversely every V yields a solution.

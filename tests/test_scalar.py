@@ -1,5 +1,6 @@
 """Gaussian rational arithmetic, parsing and rendering."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,18 @@ def test_parse_error_positions():
     with pytest.raises(ScalarParseError) as err:
         parse_scalar("1+2")
     assert err.value.pos == 3
+
+
+def test_parse_rejects_literal_over_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter's int/str digit limit is disabled")
+    digits = "9" * limit
+    assert parse_scalar(digits + "i").im == int(digits)
+    with pytest.raises(ScalarParseError) as err:
+        parse_scalar("-1/" + digits + "9")
+    assert err.value.pos == 3
+    assert f"exceeds the limit of {limit}" in str(err.value)
 
 
 def test_render_examples():
