@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .axb import (consistency_check, penrose_general_solution,
                   shifted_general_solution, solution_dimension)
@@ -24,7 +25,7 @@ from .mxfile import load_document
 from .oneinv import family_from, is_one_inverse
 from .represent import (DEFAULT_BUDGET, DEFAULT_SEED, _primed,
                         representability_probe)
-from .scalar import render_scalar
+from .scalar import render_int, render_scalar
 
 __all__ = ["Report", "run", "console_main"]
 
@@ -41,8 +42,10 @@ def _matrix_json(M: ExactMatrix):
     for i in range(1, M.rows + 1):
         for j in range(1, M.cols + 1):
             x = M.entry(i, j)
-            entries.append([str(x.re.numerator), str(x.re.denominator),
-                            str(x.im.numerator), str(x.im.denominator)])
+            entries.append([render_int(x.re.numerator),
+                            render_int(x.re.denominator),
+                            render_int(x.im.numerator),
+                            render_int(x.im.denominator)])
     return {"rows": M.rows, "cols": M.cols, "entries": entries}
 
 
@@ -456,7 +459,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later
+    ``run()``: parsing never mutates it and returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ginv",
         description="Exact {1}-inverse toolkit for matrix equations over "

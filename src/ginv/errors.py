@@ -20,13 +20,23 @@ class ShapeError(GinvError):
         super().__init__(msg)
 
 
+# Longest scalar text an error message repeats in full.
+_ECHO_CHARS = 40
+
+
 class ScalarParseError(GinvError):
-    """Malformed scalar text; ``pos`` is a 0-based index into ``text``."""
+    """Malformed scalar text; ``pos`` is a 0-based index into ``text``.
+
+    The message repeats at most the first 40 characters of the text,
+    followed by its length when it is longer.
+    """
 
     def __init__(self, message, text, pos):
         self.text = text
         self.pos = pos
-        super().__init__(f"{message} at position {pos} in {text!r}")
+        echo = (repr(text) if len(text) <= _ECHO_CHARS
+                else f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")
+        super().__init__(f"{message} at position {pos} in {echo}")
 
 
 class DocumentParseError(GinvError):

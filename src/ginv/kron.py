@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import ShapeError
 from .linsys import AffineSolution, solve_right
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, _kronecker
 
 __all__ = ["VecIndexMap", "kronecker", "vec", "mat", "solve_axb_via_kron"]
 
@@ -42,11 +42,7 @@ class VecIndexMap:
 
 def kronecker(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """A (x) B: the block matrix with (i, j) block a_ij * B."""
-    grid = [[B.scale(A.entry(i, j)) for j in range(1, A.cols + 1)]
-            for i in range(1, A.rows + 1)]
-    if not (A.rows and A.cols and B.rows and B.cols):
-        return ExactMatrix.empty(A.rows * B.rows, A.cols * B.cols)
-    return ExactMatrix.block(grid)
+    return _kronecker(A, B)
 
 
 def vec(X: ExactMatrix) -> ExactMatrix:

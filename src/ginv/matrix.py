@@ -6,11 +6,12 @@ Zero-row / zero-column matrices are permitted so that the degenerate block
 shapes arising from rank-0 and full-rank inputs work uniformly.
 
 Storage is a tuple of rows of :class:`GaussianRational` entries, the boxed
-public scalar that ``entry()`` returns.  The two hot loops do not compute
-on boxed scalars.  ``@`` and ``rank_normal_form`` convert each row (or
-column) once into Gaussian-integer numerators (separate real and imaginary
-int lists) over one positive denominator, work on Python ints, and box
-each result entry once at the end.  Elimination reduces each updated row
+public scalar that ``entry()`` returns.  The hot loops do not compute on
+boxed scalars.  ``@``, ``rank_normal_form`` and the Kronecker product
+(``_kronecker``, behind ``kron.kronecker``) convert each row (or column)
+once into Gaussian-integer numerators (separate real and imaginary int
+lists) over one positive denominator, work on Python ints, and box each
+result entry once at the end.  Elimination reduces each updated row
 by a single gcd over its content, so every row keeps the least common
 denominator of its entries.  The arithmetic is exact, so the factors are
 the ones the same elementary operations give over Q(i).
@@ -49,10 +50,6 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -101,9 +98,6 @@ class ExactMatrix:
 
     def to_rows(self):
         return [list(row) for row in self._rows]
-
-    def row_list(self, i: int):
-        return list(self._rows[i - 1])
 
     def column_list(self, j: int):
         return [row[j - 1] for row in self._rows]
@@ -169,9 +163,6 @@ class ExactMatrix:
         if not self.rows or not self.cols:
             return ExactMatrix.empty(self.cols, self.rows)
         return _raw(self.cols, self.rows, [list(col) for col in zip(*self._rows)])
-
-    def transpose(self) -> "ExactMatrix":
-        return self.T
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -260,6 +251,22 @@ def _numerators(values):
             *[x.im.denominator for x in values])
     return ([x.re.numerator * (d // x.re.denominator) for x in values],
             [x.im.numerator * (d // x.im.denominator) for x in values], d)
+
+
+def _kronecker(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A (x) B on the integer kernel: entry a*b of the (i, j) block is
+    (x + yi)/d * (u + vi)/e = (xu - yv + (xv + yu)i) / (d*e), with each
+    row of A and of B converted to numerators once."""
+    if not (A.rows and A.cols and B.rows and B.cols):
+        return ExactMatrix.empty(A.rows * B.rows, A.cols * B.cols)
+    brows = [_numerators(row) for row in B._rows]
+    out = []
+    for ar, ai, d in map(_numerators, A._rows):
+        for br, bi, e in brows:
+            de = d * e
+            out.append([_box(x * u - y * v, x * v + y * u, de)
+                        for x, y in zip(ar, ai) for u, v in zip(br, bi)])
+    return _raw(A.rows * B.rows, A.cols * B.cols, out)
 
 
 def _reduced(re, im, d):

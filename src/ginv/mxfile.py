@@ -13,6 +13,8 @@ otherwise free; names must be unique.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DocumentParseError, ScalarParseError
 from .matrix import ExactMatrix
 from .scalar import parse_scalar
@@ -60,33 +62,23 @@ class _Token:
         self.col = col
 
 
-def _tokenize(text: str, filename: str):
+# A newline, a comment, a punctuation mark or a run of other characters;
+# spaces, tabs and carriage returns between them are skipped.
+_TOKEN = re.compile(r"\n|#[^\n]*|[=\[\];]|[^ \t\r\n#=\[\];]+")
+
+
+def _tokenize(text: str):
+    """Tokens in one pass; a column counts characters since the last
+    newline, so a tab or carriage return is one column wide."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while (i < len(text) and text[i] not in " \t\r\n#"
-                   and text[i] not in _PUNCT):
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
+            line_start = m.end()
+        elif tok[0] != "#":
+            tokens.append(_Token(tok, line, m.start() - line_start + 1))
     return tokens
 
 
@@ -165,7 +157,7 @@ def _parse_matrix(stream: _TokenStream):
 
 def parse_document(text: str, filename: str = "<string>") -> MatrixDocument:
     """Parse .mx text; positions in errors are 1-based line and column."""
-    stream = _TokenStream(_tokenize(text, filename), filename)
+    stream = _TokenStream(_tokenize(text), filename)
     table = {}
     while stream.peek() is not None:
         name_tok = stream.next()

@@ -298,10 +298,6 @@ class SymMatrix:
         raise AttributeError("SymMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        return cls(rows)
-
-    @classmethod
     def from_exact(cls, M: ExactMatrix) -> "SymMatrix":
         return cls([[Poly.constant(M.entry(i, j)) for j in range(1, M.cols + 1)]
                     for i in range(1, M.rows + 1)])
@@ -319,9 +315,6 @@ class SymMatrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} matrix")
         return self._rows[i - 1][j - 1]
-
-    def entries_row_major(self):
-        return [p for row in self._rows for p in row]
 
     def __add__(self, other):
         if self.shape != other.shape:

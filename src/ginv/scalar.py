@@ -9,13 +9,14 @@ positive denominator).
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
 from .errors import ScalarParseError
 
 __all__ = ["GaussianRational", "ZERO", "ONE", "I", "as_scalar",
-           "parse_scalar", "render_scalar"]
+           "parse_scalar", "render_scalar", "render_int"]
 
 
 def _frac(x) -> Fraction:
@@ -157,15 +158,47 @@ def as_scalar(x) -> GaussianRational:
 #
 # Grammar (whitespace only at the ends):
 #   scalar   := term | term ("+" | "-") iterm
-#   term     := ["-"] (rational ["i"] | "i")
+#   term     := ["+" | "-"] (rational ["i"] | "i")
 #   iterm    := rational "i" | "i"
 #   rational := int ["/" int]
 #
 # Examples: "3/2-1/3i", "-i", "0", "1+i", "4i", "-2/3i".
 
+# The grammar as one pattern: a real term with an optional imaginary
+# second term, or a lone imaginary term.  ``\d`` matches exactly the
+# digits ``int()`` accepts.
+_SCALAR = re.compile(r"""
+    [ \t]*
+    (?: ([+-]?) (\d+) (?:/(\d+))?              # real term
+        (?: ([+-]) (?:(\d+) (?:/(\d+))?)? i )?  # optional imaginary term
+      | ([+-]?) (?:(\d+) (?:/(\d+))?)? i        # lone imaginary term
+    )
+    [ \t]*""", re.VERBOSE)
+
+# str(n) refuses integers over the interpreter's int/str digit limit,
+# which cannot be set below 640 digits; 2000 bits are at most 603 digits.
+_PLAIN_BITS = 2000
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def render_int(n: int) -> str:
+    """Decimal text of n, of any length: past the int/str digit limit the
+    digits are emitted in chunks of ``divmod`` by a power of ten."""
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    q, chunks = abs(n), []
+    while q >= _CHUNK:
+        q, r = divmod(q, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(q))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
 
 def render_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if q.denominator == 1:
+        return render_int(q.numerator)
+    return f"{render_int(q.numerator)}/{render_int(q.denominator)}"
 
 
 def render_scalar(x: GaussianRational) -> str:
@@ -184,6 +217,29 @@ def render_scalar(x: GaussianRational) -> str:
     sign = "+" if im > 0 else "-"
     mag = istr.lstrip("-") if im < 0 else istr
     return render_rational(re) + sign + mag
+
+
+def _rational(sign: str, num, den) -> Fraction:
+    """sign, numerator and denominator digits (None for absent) as a
+    Fraction; an absent numerator is the 1 of a bare ``i``."""
+    q = Fraction(int(num), int(den)) if den else Fraction(int(num) if num else 1)
+    return -q if sign == "-" else q
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """Parse a scalar; malformed input raises ScalarParseError with position."""
+    m = _SCALAR.fullmatch(text)
+    if m is not None:
+        s1, n1, d1, s2, n2, d2, s3, n3, d3 = m.groups()
+        try:
+            if n1 is None:
+                return GaussianRational(0, _rational(s3, n3, d3))
+            im = _rational(s2, n2, d2) if s2 else 0
+            return GaussianRational(_rational(s1, n1, d1), im)
+        except (ValueError, ZeroDivisionError):
+            pass  # a literal over the digit limit, or a zero denominator
+    # Only rejected input gets here; the walk locates the error.
+    return _walk(text)
 
 
 class _Cursor:
@@ -231,8 +287,10 @@ class _Cursor:
         return Fraction(num)
 
 
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse a scalar; malformed input raises ScalarParseError with position."""
+def _walk(text: str) -> GaussianRational:
+    """The grammar walked one character at a time.  ``parse_scalar`` runs
+    it only on text its pattern rejects, where it raises the
+    ScalarParseError that names the first bad position."""
     cur = _Cursor(text)
     cur.skip_ws()
 

@@ -92,6 +92,16 @@ def random_matrix_with_rank(rng, m, n, r, pool=INT_POOL) -> ExactMatrix:
             @ random_regular(rng, n, pool))
 
 
+def read_decimal(text) -> int:
+    """int(text) in chunks, so past the interpreter's int/str digit limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -4,18 +4,17 @@ Apart from the two helpers named at the end, nothing here reuses the
 library's elimination or product kernels: rank comes from
 permutation-expansion determinants of square submatrices, linear
 systems are solved by a plain row-echelon reduction with
-back-substitution over the augmented matrix, and the rank normal form
-and the matrix product are recomputed one boxed GaussianRational at a
-time.  Scalar arithmetic, construction and entry access are taken from
-the library since they are definitional.  ``grid_solutions`` filters
-candidates with ``@``, and ``solution_dimension_by_kron`` materializes
-the Kronecker projector to check the closed-form dimension count, not
-``rank`` itself.
+back-substitution over the augmented matrix, and the rank normal form,
+the matrix product and the Kronecker product are recomputed one boxed
+GaussianRational at a time.  Scalar arithmetic, construction and entry
+access are taken from the library since they are definitional.
+``grid_solutions`` filters candidates with ``@``, and
+``solution_dimension_by_kron`` materializes the Kronecker projector to
+check the closed-form dimension count, not ``rank`` itself.
 """
 
 from itertools import combinations, permutations, product
 
-from ginv.kron import kronecker
 from ginv.matrix import ExactMatrix, RankNormalForm, rank
 from ginv.scalar import GaussianRational, ONE, ZERO, as_scalar
 
@@ -110,10 +109,19 @@ def rnf_by_scalars(A: ExactMatrix) -> RankNormalForm:
     return RankNormalForm(ExactMatrix(Q), ExactMatrix(P), r)
 
 
+def kronecker_by_scalars(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A (x) B: the block matrix with (i, j) block a_ij * B."""
+    grid = [[B.scale(A.entry(i, j)) for j in range(1, A.cols + 1)]
+            for i in range(1, A.rows + 1)]
+    if not (A.rows and A.cols and B.rows and B.cols):
+        return ExactMatrix.empty(A.rows * B.rows, A.cols * B.cols)
+    return ExactMatrix.block(grid)
+
+
 def solution_dimension_by_kron(gs) -> int:
     """n*p minus the rank of the materialized projector L (x) R^T."""
     n, p = gs.shape
-    return n * p - rank(kronecker(gs.L, gs.R.T))
+    return n * p - rank(kronecker_by_scalars(gs.L, gs.R.T))
 
 
 def brute_rank(M: ExactMatrix) -> int:

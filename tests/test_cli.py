@@ -2,14 +2,16 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ginv.cli import run
-from ginv.matrix import ExactMatrix
+from ginv.matrix import ExactMatrix, rank_normal_form
 from ginv.oneinv import family_from
+from ginv.scalar import GaussianRational
 
-from conftest import DATA_DIR, DEMO_A
+from conftest import DATA_DIR, DEMO_A, read_decimal
 
 DEMO = str(DATA_DIR / "demo.mx")
 
@@ -136,6 +138,61 @@ def test_oversized_integer_literal_exit_two(capsys, tmp_path):
     assert f"{doc}:1:15: bad matrix entry: integer literal of {limit + 1} " \
            f"digits exceeds the limit of {limit}" in err
     assert "Traceback" not in err
+
+
+def test_long_literal_error_is_short(capsys, tmp_path, monkeypatch):
+    # The message repeats the head of the literal and its length only.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.mx").write_text("A = [ 1 " + "7" * 5001 + " ]\n")
+    for extra in ((), ("--json",)):
+        code, out, err = invoke(capsys, "rnf", "--file", "long.mx", *extra)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: long.mx:1:9: bad matrix entry: ")
+        assert "at position 0 in '" + "7" * 40 + "'... (5001 characters)" in err
+        assert len(err) < 200
+
+
+def test_rnf_renders_past_digit_limit(capsys, tmp_path):
+    # Inputs of 3000 digits give Q entries of about 6000 digits: output
+    # has no digit limit, in text and in JSON.
+    digits = ["9" * 2999 + "7", "8" * 3000, "7" * 2999 + "1", "6" * 3000]
+    doc = tmp_path / "wide.mx"
+    doc.write_text(f"A = [ {digits[0]} {digits[1]} ; {digits[2]} {digits[3]} ]\n")
+    A = ExactMatrix([[read_decimal(digits[0]), read_decimal(digits[1])],
+                     [read_decimal(digits[2]), read_decimal(digits[3])]])
+    rnf = rank_normal_form(A)
+    # 14300 bits are more than 4300 decimal digits.
+    assert max(x.re.denominator.bit_length() for row in rnf.q.to_rows()
+               for x in row) > 14300
+
+    code, out, err = invoke(capsys, "rnf", "--file", str(doc))
+    assert code == 0, err
+    assert "Q * A * P = E_a: true" in out
+
+    code, out, err = invoke(capsys, "rnf", "--file", str(doc), "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    for key, M in (("Q", rnf.q), ("P", rnf.p)):
+        entries = iter(result[key]["entries"])
+        rows = [[GaussianRational(Fraction(*map(read_decimal, quad[:2])),
+                                  Fraction(*map(read_decimal, quad[2:])))
+                 for quad in (next(entries) for _ in range(M.cols))]
+                for _ in range(M.rows)]
+        assert ExactMatrix(rows) == M
+
+
+def test_runs_do_not_leak_options(capsys):
+    # One parser serves every run(); options of one call must not carry
+    # over to the next.
+    code, out, _ = invoke(capsys, "ginverse", "--file", DEMO, "--canonical")
+    assert code == 0 and "G (3x3):" in out
+    code, out, _ = invoke(capsys, "ginverse", "--file", DEMO)
+    assert code == 0
+    assert "u_{1,1}" in out and "G (3x3):" not in out
+    assert invoke(capsys, "rnf", "--file", DEMO, "--side", "left")[0] == 2
+    code, out, _ = invoke(capsys, "rnf", "--file", DEMO)
+    assert code == 0 and "rank = 2" in out
 
 
 def test_represent_demo_solution_via_x_name(capsys, tmp_path):

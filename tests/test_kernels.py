@@ -1,5 +1,5 @@
-"""The integer kernels of ``@`` and ``rank_normal_form`` against oracles
-that compute one boxed GaussianRational at a time.
+"""The integer kernels of ``@``, ``rank_normal_form`` and ``kronecker``
+against oracles that compute one boxed GaussianRational at a time.
 
 The rank normal form is pinned to its pivot rule, so the kernel must
 return the very same Q, P and rank as the scalar elimination, not merely
@@ -10,10 +10,11 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from ginv.kron import kronecker
 from ginv.matrix import ExactMatrix, rank_normal_form
 from ginv.scalar import GaussianRational, ZERO
 
-from oracles import matmul_by_scalars, rnf_by_scalars
+from oracles import kronecker_by_scalars, matmul_by_scalars, rnf_by_scalars
 
 TEN_DIGITS = 10 ** 10 - 1
 
@@ -79,3 +80,23 @@ def test_matmul_equals_scalar_products(pair):
     product = A @ B
     assert product == matmul_by_scalars(A, B)
     assert product.shape == (A.rows, B.cols)
+
+
+@st.composite
+def kronecker_pair(draw):
+    small = st.integers(0, 4)
+    return (draw(matrices(draw(small), draw(small))),
+            draw(matrices(draw(small), draw(small))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kronecker_pair())
+@example((ExactMatrix.empty(0, 3), ExactMatrix.zeros(2, 2)))
+@example((ExactMatrix.zeros(2, 2), ExactMatrix.empty(3, 0)))
+@example((ExactMatrix([[0, "1+i"], ["2-i", "1/3"]]),
+          ExactMatrix([["i", "-5/7"], [0, "3-2/9i"]])))
+def test_kronecker_equals_scalar_blocks(pair):
+    A, B = pair
+    product = kronecker(A, B)
+    assert product == kronecker_by_scalars(A, B)
+    assert product.shape == (A.rows * B.rows, A.cols * B.cols)

@@ -4,13 +4,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ginv.errors import ScalarParseError
-from ginv.scalar import (GaussianRational, I, ONE, ZERO, as_scalar,
-                         parse_scalar, render_scalar)
+from ginv.scalar import (_SCALAR, GaussianRational, I, ONE, ZERO, _walk,
+                         as_scalar, parse_scalar, render_int, render_scalar)
 
-from conftest import SCALAR_POOL
+from conftest import SCALAR_POOL, read_decimal
 
 
 small_fractions = st.fractions(
@@ -160,3 +160,40 @@ def test_distributivity(x, y, z):
 def test_pool_members_round_trip():
     for x in SCALAR_POOL:
         assert parse_scalar(render_scalar(x)) == x
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ScalarParseError as err:
+        return "error", err.pos
+
+
+# The grammar's characters plus two that str.isdigit() accepts: an
+# Arabic-Indic three, which int() reads, and a superscript two, which it
+# does not.
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="0123456789/+-i \t\u0663\u00b2", max_size=12))
+@example("\u0663/2-i")
+@example("\u00b2")
+@example("1/0i")
+@example("+3")
+def test_parse_scalar_agrees_with_the_walk(text):
+    assert _outcome(parse_scalar, text) == _outcome(_walk, text)
+    # The walk is only the error path: whatever it accepts, the pattern
+    # accepts too.
+    if _outcome(_walk, text)[0] == "value":
+        assert _SCALAR.fullmatch(text) is not None
+
+
+@given(st.integers(0, 40000), st.integers(-1, 1))
+@example(0, 1)
+@example(2000, 1)
+@example(2001, -1)
+def test_render_int_has_no_digit_limit(bits, sign):
+    n = sign * (1 << bits | 12345)
+    text = render_int(n)
+    assert read_decimal(text) == n
+    assert text.lstrip("-")[0] != "0" or n == 0
+    if bits < 2000:
+        assert text == str(n)
